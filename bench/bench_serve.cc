@@ -15,7 +15,6 @@
 // Emits BENCH_serve.json (single-process server) and BENCH_fleet.json
 // (replica-count sweep) into the working directory; CI uploads both.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <future>
@@ -27,17 +26,14 @@
 #include "bench_util.h"
 #include "common/metrics_registry.h"
 #include "common/serial.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "fleet/replica.h"
 #include "fleet/router.h"
 #include "forest/forest.h"
 #include "net/network.h"
 #include "serve/compiled_model.h"
-#include "serve/layout.h"
 #include "serve/registry.h"
 #include "serve/server.h"
-#include "table/binned.h"
 
 using namespace treeserver;         // NOLINT
 using namespace treeserver::bench;  // NOLINT
@@ -95,8 +91,8 @@ struct FleetBenchPoint {
 /// `num_replicas` in-process FleetReplicas. Every returned label is
 /// checked against the compiled reference; latency percentiles come
 /// from the router's own fleet.latency_us histogram.
-bool RunFleetBench(int num_replicas, NodeLayout node_layout,
-                   const std::string& model_bytes, const DataTable& table,
+bool RunFleetBench(int num_replicas, const std::string& model_bytes,
+                   const DataTable& table,
                    const std::vector<int32_t>& ref_labels, size_t requests,
                    size_t rows_per_batch, FleetBenchPoint* out) {
   MetricsRegistry metrics;
@@ -105,7 +101,6 @@ bool RunFleetBench(int num_replicas, NodeLayout node_layout,
   for (int r = 0; r < num_replicas; ++r) {
     FleetReplicaConfig rc;
     rc.rank = r;
-    rc.node_layout = node_layout;
     rc.serve.num_workers = 2;
     rc.serve.max_batch = 256;
     rc.serve.batch_deadline_us = 200;
@@ -234,54 +229,6 @@ int main(int argc, char** argv) {
               single_s / TimeCompiledThreads(compiled, table, 8, &got),
               std::thread::hardware_concurrency());
 
-  // Single-thread batched traversal per node layout, byte-parity
-  // checked against the row-at-a-time reference. Quantized needs the
-  // serving table's bin index; with one bin per distinct value every
-  // exact-split threshold is a bin upper, so no tree falls back.
-  std::printf("\n== Node-layout sweep: single-thread bulk scoring "
-              "(simd=%s) ==\n", SimdLevelName(ActiveSimdLevel()));
-  std::shared_ptr<const BinnedTable> serve_bins =
-      BinnedTable::Build(table, 65535);
-  const int layout_iters = options.quick ? 3 : 5;
-  TablePrinter layout_out(
-      {"Layout", "Achieved", "Rows/s", "Speedup vs soa", "Same labels"});
-  double layout_rps[3] = {0.0, 0.0, 0.0};
-  for (NodeLayout want : {NodeLayout::kSoa, NodeLayout::kPacked,
-                          NodeLayout::kQuantized}) {
-    const NodeLayout got_layout = compiled.Repack(
-        want, want == NodeLayout::kQuantized ? serve_bins : nullptr);
-    double seconds = 0.0;
-    bool same = true;
-    for (int i = 0; i < layout_iters; ++i) {
-      seconds += TimeCompiledThreads(compiled, table, 1, &got);
-      same = same && got == ref_labels;
-    }
-    const double rps = RowsPerSec(rows * layout_iters, seconds);
-    layout_rps[static_cast<int>(want)] = rps;
-    layout_out.AddRow({NodeLayoutName(want), NodeLayoutName(got_layout),
-                       Fmt(rps, 0),
-                       Fmt(rps / layout_rps[0], 2) + "x",
-                       same ? "yes" : "NO"});
-    if (!same) {
-      std::printf("FATAL: %s layout labels diverge\n", NodeLayoutName(want));
-      return 1;
-    }
-  }
-  layout_out.Print();
-  const double traversal_speedup =
-      layout_rps[0] > 0
-          ? std::max(layout_rps[1], layout_rps[2]) / layout_rps[0]
-          : 0.0;
-  // Anchor against the row-at-a-time reference as well: ref code is
-  // untouched by layout/SIMD work, so best_layout/ref is the number to
-  // compare across sessions on a noisy box (the pre-PR recording of
-  // this ratio is compiled_speedup, which was soa-only).
-  const double best_vs_ref =
-      ref_s > 0 ? std::max(layout_rps[1], layout_rps[2]) / (rows / ref_s) : 0.0;
-  std::printf("best layout vs row-at-a-time reference: %.2fx "
-              "(soa-only compiled_speedup above: %.2fx)\n",
-              best_vs_ref, ref_s / single_s);
-
   // End-to-end micro-batching server: submit every row as its own
   // request and read latency percentiles back out of the registry.
   BinaryWriter model_writer;
@@ -289,7 +236,6 @@ int main(int argc, char** argv) {
   const std::string model_bytes = model_writer.Release();
   MetricsRegistry metrics;
   ModelRegistry registry;
-  if (!registry.SetDefaultLayout(options.node_layout).ok()) return 1;
   if (!registry.Publish("bench", std::move(forest)).ok()) return 1;
   InferenceServerConfig server_cfg;
   server_cfg.num_workers = 4;
@@ -345,22 +291,14 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(lat.Percentile(0.99)),
       static_cast<unsigned long long>(lat.max));
 
-  char serve_json[768];
+  char serve_json[512];
   std::snprintf(serve_json, sizeof(serve_json),
                 "{\"bench\":\"serve\",\"rows\":%zu,\"trees\":%d,"
-                "\"simd\":\"%s\",\"layout\":\"%s\","
                 "\"compiled_speedup\":%.2f,\"compile_s\":%.3f,"
-                "\"st_soa_rows_per_sec\":%.0f,"
-                "\"st_packed_rows_per_sec\":%.0f,"
-                "\"st_quantized_rows_per_sec\":%.0f,"
-                "\"traversal_speedup\":%.2f,"
-                "\"best_layout_speedup_vs_ref\":%.2f,"
                 "\"server_qps\":%.0f,\"p50_us\":%llu,\"p99_us\":%llu,"
                 "\"max_us\":%llu}\n",
-                rows, trees, SimdLevelName(ActiveSimdLevel()),
-                NodeLayoutName(options.node_layout), ref_s / single_s,
-                compile_s, layout_rps[0], layout_rps[1], layout_rps[2],
-                traversal_speedup, best_vs_ref, RowsPerSec(rows, serve_s),
+                rows, trees, ref_s / single_s, compile_s,
+                RowsPerSec(rows, serve_s),
                 static_cast<unsigned long long>(lat.Percentile(0.50)),
                 static_cast<unsigned long long>(lat.Percentile(0.99)),
                 static_cast<unsigned long long>(lat.max));
@@ -380,8 +318,8 @@ int main(int argc, char** argv) {
   bool first = true;
   for (int replicas : {1, 2, 4}) {
     FleetBenchPoint point;
-    if (!RunFleetBench(replicas, options.node_layout, model_bytes, table,
-                       ref_labels, fleet_requests, rows_per_batch, &point)) {
+    if (!RunFleetBench(replicas, model_bytes, table, ref_labels,
+                       fleet_requests, rows_per_batch, &point)) {
       return 1;
     }
     fleet_out.AddRow({std::to_string(point.replicas), Fmt(point.qps, 0),

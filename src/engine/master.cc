@@ -780,7 +780,7 @@ void Master::WatchdogLoop() {
     ttask_.ForEach([&](const uint64_t&, EntryPtr& e) {
       std::lock_guard<std::mutex> lock(e->mu);
       if (e->completed || e->slow_flagged || e->sched_ns == 0) return;
-      const uint64_t age_us = (now - e->sched_ns) / 1000;
+      const uint64_t age_us = TaskAgeUs(now, e->sched_ns);
       const uint64_t limit = e->is_subtree ? subtree_limit : column_limit;
       if (age_us <= limit) return;
       e->slow_flagged = true;  // flag once per task

@@ -112,6 +112,14 @@ struct MasterStats {
   std::vector<WorkerLoad> predicted_load;
 };
 
+/// Age in microseconds of a task scheduled at `sched_ns`, as seen at
+/// `now_ns`, saturating at zero: the watchdog reads its clock before
+/// scanning T_task, so a task scheduled during the scan is younger
+/// than the clock reading, and an unsigned difference would wrap.
+inline uint64_t TaskAgeUs(uint64_t now_ns, uint64_t sched_ns) {
+  return now_ns > sched_ns ? (now_ns - sched_ns) / 1000 : 0;
+}
+
 /// The TreeServer master (Fig. 5 / Fig. 14(a)).
 ///
 /// Owns the plan buffer B_plan (hybrid BFS/DFS deque), the task table

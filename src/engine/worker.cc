@@ -588,12 +588,10 @@ SplitOutcome Worker::HistogramColumnSplit(const TaskPtr& task,
                                           int32_t col, const BinnedColumn& bc,
                                           const SplitContext& ctx,
                                           const std::vector<uint32_t>& ix) {
-  // Only classification histograms go through the sibling cache:
-  // integer counts make `parent - sibling` bit-identical to a direct
-  // build, so a cache hit can never change the split outcome (and thus
-  // cannot perturb in-process vs TCP determinism). Regression sums
-  // would re-associate, so they are always built directly.
-  const bool cacheable = ctx.kind == TaskKind::kClassification;
+  // Only histograms whose subtraction is exact go through the sibling
+  // cache, so a cache hit can never change the split outcome (and thus
+  // cannot perturb in-process vs TCP determinism or serial parity).
+  const bool cacheable = NodeHistogram::SubtractionIsExact(ctx.kind);
   NodeHistogram hist;
   bool derived = false;
   TaskPtr parent;

@@ -20,16 +20,17 @@ struct FleetReplicaConfig {
   /// This replica's rank on the fleet transport (0..N-1; the router is
   /// the master).
   int rank = 0;
-  /// Threads draining this replica's task mailbox. More than one keeps
-  /// health pings responsive while a large predict batch is waiting on
-  /// the inference server.
-  int handler_threads = 2;
+  /// Threads draining this replica's task mailbox. Each handler blocks
+  /// until its whole predict batch is answered, so the handler count
+  /// caps the batches the inner server holds at once: with only two, a
+  /// replica's server flushes on its batch deadline rather than on
+  /// size (a 2-replica closed loop of 16-row batches measured 54k-96k
+  /// rows/s with 2 handlers, 140k-164k with 8). Spare handlers also
+  /// keep health pings responsive while batches wait.
+  int handler_threads = 8;
   /// Inner micro-batching server (its http_port opens the replica's
   /// own /metrics + /statusz when >= 0).
   InferenceServerConfig serve;
-  /// Node layout pushed models are compiled into (soa or packed;
-  /// quantized is bulk-scoring only and rejected by the registry).
-  NodeLayout node_layout = NodeLayout::kSoa;
   /// Destination for fleet.replica.* counters; nullptr uses
   /// MetricsRegistry::Global().
   MetricsRegistry* metrics = nullptr;

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "serve/serve_kernels.h"
 
 namespace treeserver {
 
@@ -109,32 +108,11 @@ CompiledTree CompiledTree::Compile(const TreeModel& tree) {
   return out;
 }
 
-NodeLayout CompiledTree::Repack(NodeLayout want, const BinnedTable* binned) {
-  packed_ = nullptr;
-  layout_ = NodeLayout::kSoa;
-  if (want == NodeLayout::kQuantized) {
-    TS_CHECK(binned != nullptr) << "quantized layout needs a BinnedTable";
-    packed_ = PackedTree::PackQuantized(*this, *binned);
-    if (packed_ != nullptr) {
-      layout_ = NodeLayout::kQuantized;
-      return layout_;
-    }
-    want = NodeLayout::kPacked;  // thresholds off the bin grid
-  }
-  if (want == NodeLayout::kPacked) {
-    packed_ = PackedTree::Pack(*this);
-    if (packed_ != nullptr) layout_ = NodeLayout::kPacked;
-  }
-  return layout_;
-}
-
 void CompiledTree::BuildContext(const DataTable& table,
                                 const std::vector<int32_t>& columns,
                                 RowBlockContext* ctx) {
   ctx->numeric.assign(table.num_columns(), nullptr);
   ctx->category.assign(table.num_columns(), nullptr);
-  ctx->ucodes.clear();
-  ctx->ustorage.clear();
   for (int32_t id : columns) {
     const ColumnPtr& col = table.column(id);
     TS_CHECK(col != nullptr) << "serving table misses split column " << id;
@@ -149,10 +127,6 @@ void CompiledTree::BuildContext(const DataTable& table,
 void CompiledTree::RouteRows(const RowBlockContext& ctx, const uint32_t* rows,
                              size_t n, int max_depth,
                              int32_t* out_nodes) const {
-  if (packed_ != nullptr) {
-    packed_->RouteRows(ctx, rows, n, max_depth, out_nodes);
-    return;
-  }
   const int32_t* col = col_.data();
   const uint8_t* is_cat = is_cat_.data();
   const double* threshold = threshold_.data();
@@ -193,8 +167,6 @@ void CompiledTree::RouteRows(const RowBlockContext& ctx, const uint32_t* rows,
 
 int32_t CompiledTree::RouteRow(const DataTable& table, uint32_t row,
                                int max_depth) const {
-  TS_CHECK(layout_ != NodeLayout::kQuantized)
-      << "RouteRow has no bin codes; quantized trees are bulk-scoring only";
   RowBlockContext ctx;
   BuildContext(table, used_columns_, &ctx);
   int32_t node = 0;
@@ -223,77 +195,6 @@ CompiledForest CompiledForest::Compile(const TreeModel& tree) {
   return Compile(forest);
 }
 
-NodeLayout CompiledForest::Repack(NodeLayout want,
-                                  std::shared_ptr<const BinnedTable> binned) {
-  quant_binned_ = want == NodeLayout::kQuantized ? std::move(binned) : nullptr;
-  NodeLayout achieved = want;
-  bool any_quant = false;
-  for (CompiledTree& tree : trees_) {
-    achieved = std::min(achieved, tree.Repack(want, quant_binned_.get()));
-    any_quant = any_quant || tree.layout() == NodeLayout::kQuantized;
-  }
-  // If no tree quantized, future contexts don't need bin codes.
-  if (!any_quant) quant_binned_ = nullptr;
-  layout_ = achieved;
-  return achieved;
-}
-
-void CompiledForest::BuildContext(const DataTable& table,
-                                  RowBlockContext* ctx) const {
-  CompiledTree::BuildContext(table, used_columns_, ctx);
-  if (quant_binned_ == nullptr) return;
-  // Quantized trees route on precomputed bin codes of the stationary
-  // serving table; the BinnedTable was built from that very table.
-  // Every used column gets a uniform uint16 code array with the
-  // per-column missing code rewritten to the universal kStopCode, so
-  // the level walker tests missingness against one constant instead of
-  // loading a per-column stop code every step. The rewrite forces a
-  // copy into ctx->ustorage (except when the column's missing code
-  // already IS kStopCode) — a linear pass that is noise next to the
-  // traversal it feeds.
-  const size_t n = table.num_rows();
-  ctx->ucodes.assign(table.num_columns(), nullptr);
-  for (int32_t id : used_columns_) {
-    const BinnedColumn* bc = quant_binned_->column(id);
-    if (bc != nullptr) {
-      TS_CHECK(bc->num_rows() == table.num_rows())
-          << "quantized layout: BinnedTable does not match the serving table";
-      const uint16_t miss = static_cast<uint16_t>(bc->missing_code());
-      if (bc->codes16_data() != nullptr) {
-        const uint16_t* src = bc->codes16_data();
-        if (miss == RowBlockContext::kStopCode) {
-          ctx->ucodes[id] = src;
-        } else {
-          std::vector<uint16_t>& dst = ctx->ustorage.emplace_back(n);
-          for (size_t i = 0; i < n; ++i) {
-            dst[i] = src[i] == miss ? RowBlockContext::kStopCode : src[i];
-          }
-          ctx->ucodes[id] = dst.data();
-        }
-      } else {
-        const uint8_t* src = bc->codes8_data();
-        const uint8_t miss8 = static_cast<uint8_t>(miss);
-        std::vector<uint16_t>& dst = ctx->ustorage.emplace_back(n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = src[i] == miss8 ? RowBlockContext::kStopCode : src[i];
-        }
-        ctx->ucodes[id] = dst.data();
-      }
-    } else {
-      const int32_t* src = ctx->category[id];
-      TS_CHECK(src != nullptr) << "serving table misses split column " << id;
-      std::vector<uint16_t>& dst = ctx->ustorage.emplace_back(n);
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t c = src[i];
-        dst[i] = c < 0 || c >= RowBlockContext::kStopCode
-                     ? RowBlockContext::kStopCode
-                     : static_cast<uint16_t>(c);
-      }
-      ctx->ucodes[id] = dst.data();
-    }
-  }
-}
-
 void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
                                 size_t n, int max_depth,
                                 float* out_pmf) const {
@@ -304,15 +205,17 @@ void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
   BuildContext(table, &ctx);
   std::vector<int32_t> nodes(n);
   // Accumulate per-tree PMFs in tree order, then scale — the same
-  // float operations, in the same order, as ForestModel::PredictPmf
-  // (the serve kernels are element-wise, so SIMD changes no bits).
+  // float operations, in the same order, as ForestModel::PredictPmf.
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedPmf(out_pmf, nodes.data(), n, k,
-                          tree.active_pmf_pool());
+    for (size_t i = 0; i < n; ++i) {
+      const float* p = tree.node_pmf(nodes[i]);
+      float* o = out_pmf + i * k;
+      for (size_t c = 0; c < k; ++c) o[c] += p[c];
+    }
   }
   const float inv = 1.0f / static_cast<float>(trees_.size());
-  servek::ScaleF32(out_pmf, n * k, inv);
+  for (size_t i = 0; i < n * k; ++i) out_pmf[i] *= inv;
 }
 
 void CompiledForest::PredictLabel(const DataTable& table, const uint32_t* rows,
@@ -343,13 +246,12 @@ void CompiledForest::PredictValue(const DataTable& table, const uint32_t* rows,
   std::vector<int32_t> nodes(n);
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedValue(out_values, nodes.data(), n,
-                            tree.active_values());
+    for (size_t i = 0; i < n; ++i) out_values[i] += tree.node_value(nodes[i]);
   }
   const double count = static_cast<double>(trees_.size());
   // Divide (not multiply by a reciprocal): ForestModel::PredictValue
   // divides, and the results must be bit-identical.
-  servek::DivF64(out_values, n, count);
+  for (size_t i = 0; i < n; ++i) out_values[i] /= count;
 }
 
 namespace {

@@ -4,13 +4,8 @@
 #include <cstdint>
 #include <vector>
 
-#include <memory>
-
 #include "deepforest/deep_forest.h"
 #include "forest/forest.h"
-#include "serve/layout.h"
-#include "serve/packed_tree.h"
-#include "table/binned.h"
 #include "table/data_table.h"
 #include "table/datasets.h"
 #include "tree/model.h"
@@ -25,18 +20,6 @@ namespace treeserver {
 struct RowBlockContext {
   std::vector<const double*> numeric;    // indexed by column id
   std::vector<const int32_t*> category;  // indexed by column id
-  // Quantized layout only: one uint16 code array per used column —
-  // numeric columns carry their serving-table bin codes, categorical
-  // columns their category codes — so the level walker reads every
-  // split input through one uniform pointer table. Codes that must
-  // stop the walk at the node (numeric missing, categorical missing /
-  // out-of-range) are rewritten to the universal kStopCode sentinel at
-  // build time, so the walker needs no per-column stop lookup.
-  // `ustorage` owns the arrays that had to be widened, sign-filtered
-  // or missing-rewritten.
-  static constexpr uint16_t kStopCode = 0xFFFF;
-  std::vector<const uint16_t*> ucodes;
-  std::vector<std::vector<uint16_t>> ustorage;
 };
 
 /// A TreeModel flattened into structure-of-arrays node tables for
@@ -66,19 +49,17 @@ class CompiledTree {
 
   /// Batched traversal: resolves the stop node of each row in `rows`
   /// and writes its index to `out_nodes[i]`. `ctx` must have been
-  /// built (BuildContext) against the table the rows refer to. Node
-  /// ids are in the ACTIVE layout's numbering (see Repack below).
+  /// built (BuildContext) against the table the rows refer to.
   void RouteRows(const RowBlockContext& ctx, const uint32_t* rows, size_t n,
                  int max_depth, int32_t* out_nodes) const;
 
   /// Prediction outputs of a stop node (classification PMF pointer is
-  /// `num_classes()` floats). `node` is an id RouteRows emitted, i.e.
-  /// in the active layout's numbering.
+  /// `num_classes()` floats).
   const float* node_pmf(int32_t node) const {
-    return active_pmf_pool() + static_cast<size_t>(node) * num_classes_;
+    return pmf_pool_.data() + static_cast<size_t>(node) * num_classes_;
   }
-  int32_t node_label(int32_t node) const { return active_labels()[node]; }
-  double node_value(int32_t node) const { return active_values()[node]; }
+  int32_t node_label(int32_t node) const { return label_[node]; }
+  double node_value(int32_t node) const { return value_[node]; }
 
   /// Fills `ctx` with raw pointers for `columns` of `table`.
   static void BuildContext(const DataTable& table,
@@ -89,43 +70,6 @@ class CompiledTree {
   /// node index, matching TreeModel::Traverse on the same row.
   int32_t RouteRow(const DataTable& table, uint32_t row,
                    int max_depth = -1) const;
-
-  /// Re-encodes the node tables into `want` (serve/layout.h) and
-  /// returns the layout actually achieved: kQuantized needs `binned`
-  /// (the serving table's bin index) and falls back to kPacked when
-  /// any numeric threshold is not exactly a bin upper; kPacked falls
-  /// back to kSoa when the tree exceeds the packed field widths.
-  /// After a repack, RouteRows emits node ids of the NEW layout — use
-  /// the active_* pools below to read predictions.
-  NodeLayout Repack(NodeLayout want, const BinnedTable* binned);
-  NodeLayout layout() const { return layout_; }
-
-  /// Prediction pools of the active layout, indexed by the node ids
-  /// RouteRows emits.
-  const float* active_pmf_pool() const {
-    return packed_ ? packed_->pmf_pool() : pmf_pool_.data();
-  }
-  const int32_t* active_labels() const {
-    return packed_ ? packed_->labels() : label_.data();
-  }
-  const double* active_values() const {
-    return packed_ ? packed_->values() : value_.data();
-  }
-
-  /// Read-only SoA node tables, for PackedTree::Pack and white-box
-  /// tests. Indices are the original (pre-repack) node ids.
-  int32_t raw_col(int32_t i) const { return col_[i]; }
-  bool raw_is_cat(int32_t i) const { return is_cat_[i] != 0; }
-  double raw_threshold(int32_t i) const { return threshold_[i]; }
-  int32_t raw_left(int32_t i) const { return left_[i]; }
-  int32_t raw_right(int32_t i) const { return right_[i]; }
-  uint16_t raw_depth(int32_t i) const { return depth_[i]; }
-  int32_t raw_label(int32_t i) const { return label_[i]; }
-  double raw_value(int32_t i) const { return value_[i]; }
-  const std::vector<float>& raw_pmf_pool() const { return pmf_pool_; }
-  const std::vector<uint64_t>& raw_cat_pool() const { return cat_pool_; }
-  uint32_t raw_cat_offset(int32_t i) const { return cat_offset_[i]; }
-  uint32_t raw_cat_words(int32_t i) const { return cat_words_[i]; }
 
  private:
   TaskKind kind_ = TaskKind::kClassification;
@@ -151,10 +95,6 @@ class CompiledTree {
   std::vector<uint64_t> cat_pool_;
 
   std::vector<int32_t> used_columns_;
-
-  // Non-SoA layouts (serve/packed_tree.h); null while layout_ == kSoa.
-  NodeLayout layout_ = NodeLayout::kSoa;
-  std::shared_ptr<const PackedTree> packed_;
 };
 
 /// A ForestModel compiled for batched serving. Predictions are exactly
@@ -201,27 +141,15 @@ class CompiledForest {
 
   const std::vector<int32_t>& used_columns() const { return used_columns_; }
 
-  /// Re-encodes every tree into `want` and returns the weakest layout
-  /// any tree achieved (they can diverge only via per-tree quantized →
-  /// packed fallback). kQuantized requires `binned`, built from the
-  /// very table rows will be scored against — it is kept and used to
-  /// feed bin codes into every RowBlockContext, so quantized forests
-  /// must only serve that stationary table (the bulk-scoring path;
-  /// InferenceServer restricts itself to soa|packed). Predictions are
-  /// byte-identical across layouts.
-  NodeLayout Repack(NodeLayout want,
-                    std::shared_ptr<const BinnedTable> binned = nullptr);
-  NodeLayout layout() const { return layout_; }
-
  private:
-  void BuildContext(const DataTable& table, RowBlockContext* ctx) const;
+  void BuildContext(const DataTable& table, RowBlockContext* ctx) const {
+    CompiledTree::BuildContext(table, used_columns_, ctx);
+  }
 
   TaskKind kind_ = TaskKind::kClassification;
   int num_classes_ = 0;
   std::vector<CompiledTree> trees_;
   std::vector<int32_t> used_columns_;  // union over trees
-  NodeLayout layout_ = NodeLayout::kSoa;
-  std::shared_ptr<const BinnedTable> quant_binned_;
 };
 
 /// A DeepForestModel (MGS windows + cascade layers) compiled for

@@ -36,9 +36,11 @@ struct HistRegBin {
 /// Sibling subtraction (the LightGBM trick): `parent - child` equals
 /// the direct build of the other child. For classification the counts
 /// are integers, so the identity is bit-exact and a derived histogram
-/// is interchangeable with a built one. For regression the sums
-/// re-associate, so derivation is only used where the choice of which
-/// sibling to derive is itself deterministic (inside TrainTree).
+/// is interchangeable with a built one. For regression the target sums
+/// re-associate, so a derived histogram can differ in its last bits
+/// from a built one; SubtractionIsExact() is the one rule every caller
+/// (TrainTree, the engine's column-tasks) asks before deriving, which
+/// keeps serial and distributed training byte-identical.
 ///
 /// Accumulation runs through the runtime-dispatched kernels of
 /// tree/hist_kernels.h (scalar / AVX2 / NEON, common/simd.h). Every
@@ -69,6 +71,12 @@ class NodeHistogram {
   /// Derives the sibling: element-wise parent - child.
   static NodeHistogram Subtract(const NodeHistogram& parent,
                                 const NodeHistogram& child);
+
+  /// True when Subtract() is bit-identical to a direct build for
+  /// histograms of `kind`: only integer class counts qualify.
+  static bool SubtractionIsExact(TaskKind kind) {
+    return kind == TaskKind::kClassification;
+  }
 
   /// Best split of this column in O(bins); outcome fields and
   /// tie-breaks match FindBestSplit on the binned values.

@@ -150,8 +150,9 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                 global_depth >= config.max_depth;
     if (!leaf) {
       if (binned != nullptr && f.hists == nullptr) {
-        // Root (or a node whose histograms were skipped as a predicted
-        // leaf): build from its rows.
+        // Root, a node whose histograms were skipped as a predicted
+        // leaf, or any regression node (never derived, see below):
+        // build from its rows.
         f.hists = BuildNodeHists(*binned, *target, candidate_columns, ctx,
                                  row_ptr, n);
       }
@@ -218,15 +219,16 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
         parent.left = left_id;
         parent.right = right_id;
 
-        // Histogram mode: build only the smaller child's histograms
-        // and derive the larger sibling as parent - smaller. Which
-        // sibling is derived depends only on the partition sizes, so
-        // the (floating-point) results stay deterministic for a given
-        // row set. Children that the depth/min_leaf rules already make
-        // leaves skip histogram work entirely.
+        // Histogram mode: where subtraction is exact, build only the
+        // smaller child's histograms and derive the larger sibling as
+        // parent - smaller. Otherwise (regression) each child builds
+        // its own when it is split, exactly as the engine's
+        // column-tasks do, so a node's histograms never depend on
+        // which path grew it. Children that the depth/min_leaf rules
+        // already make leaves skip histogram work entirely.
         std::shared_ptr<NodeHists> left_hists;
         std::shared_ptr<NodeHists> right_hists;
-        if (binned != nullptr) {
+        if (binned != nullptr && NodeHistogram::SubtractionIsExact(ctx.kind)) {
           const size_t nl = mid - f.begin;
           const size_t nr = f.end - mid;
           const bool child_depth_ok =

@@ -673,6 +673,15 @@ TEST(WatchdogTest, QuietOnHealthyRunWithDefaults) {
       << "watchdog flagged tasks on an unperturbed in-process run";
 }
 
+TEST(WatchdogTest, TaskScheduledDuringTheScanHasZeroAge) {
+  const uint64_t now = 5'000'000'000;
+  EXPECT_EQ(TaskAgeUs(now, now - 3'000'000), 3000u);
+  EXPECT_EQ(TaskAgeUs(now, now), 0u);
+  // sched_ns after the watchdog's clock read: not ~2^64 ns old.
+  EXPECT_EQ(TaskAgeUs(now, now + 1), 0u);
+  EXPECT_EQ(TaskAgeUs(now, now + 6'000'000), 0u);
+}
+
 TEST(EngineStatsTest, StatsReporterEmitsAtCompletion) {
   DataTable t = MakeData(3000);
   EngineConfig cfg = SmallConfig();

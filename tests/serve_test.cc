@@ -95,29 +95,49 @@ std::vector<uint32_t> AllRows(const DataTable& t) {
   return rows;
 }
 
+/// The row batches the parity checks score: every row in order, plus
+/// random scattered subsets of ragged sizes (a single row, odd tails
+/// and both sides of a 128-row boundary) in shuffled order.
+std::vector<std::vector<uint32_t>> ParityBatches(const DataTable& t,
+                                                 uint64_t seed) {
+  std::vector<std::vector<uint32_t>> batches = {AllRows(t)};
+  Rng rng(seed);
+  for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129}}) {
+    std::vector<uint32_t> rows = AllRows(t);
+    rng.Shuffle(&rows);
+    rows.resize(std::min(m, rows.size()));
+    batches.push_back(std::move(rows));
+  }
+  return batches;
+}
+
 /// Exact (bit-for-bit) agreement between the compiled forest and the
-/// row-at-a-time reference on every row of `eval`, at several depth
-/// cutoffs.
+/// row-at-a-time reference on every batch of ParityBatches(eval), at
+/// several depth cutoffs.
 void ExpectClassificationParity(const ForestModel& forest,
                                 const CompiledForest& compiled,
                                 const DataTable& eval) {
-  const std::vector<uint32_t> rows = AllRows(eval);
   const int k = forest.num_classes();
-  std::vector<float> pmf(rows.size() * k);
-  std::vector<int32_t> labels(rows.size());
-  for (int max_depth : {-1, 0, 1, 3, 64}) {
-    compiled.PredictPmf(eval, rows.data(), rows.size(), max_depth, pmf.data());
-    compiled.PredictLabel(eval, rows.data(), rows.size(), max_depth,
-                          labels.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::vector<float> want = forest.PredictPmf(eval, i, max_depth);
-      ASSERT_EQ(want.size(), static_cast<size_t>(k));
-      for (int c = 0; c < k; ++c) {
-        ASSERT_EQ(pmf[i * k + c], want[c])
-            << "row " << i << " class " << c << " depth " << max_depth;
+  for (const std::vector<uint32_t>& rows : ParityBatches(eval, 5)) {
+    std::vector<float> pmf(rows.size() * k);
+    std::vector<int32_t> labels(rows.size());
+    for (int max_depth : {-1, 0, 1, 3, 64}) {
+      compiled.PredictPmf(eval, rows.data(), rows.size(), max_depth,
+                          pmf.data());
+      compiled.PredictLabel(eval, rows.data(), rows.size(), max_depth,
+                            labels.data());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        std::vector<float> want = forest.PredictPmf(eval, rows[i], max_depth);
+        ASSERT_EQ(want.size(), static_cast<size_t>(k));
+        for (int c = 0; c < k; ++c) {
+          ASSERT_EQ(pmf[i * k + c], want[c])
+              << "row " << rows[i] << " class " << c << " depth "
+              << max_depth << " batch " << rows.size();
+        }
+        ASSERT_EQ(labels[i], forest.PredictLabel(eval, rows[i], max_depth))
+            << "row " << rows[i] << " depth " << max_depth << " batch "
+            << rows.size();
       }
-      ASSERT_EQ(labels[i], forest.PredictLabel(eval, i, max_depth))
-          << "row " << i << " depth " << max_depth;
     }
   }
 }
@@ -154,18 +174,70 @@ TEST(CompiledForestTest, RegressionParity) {
   ForestModel forest = TrainSmallForest(t, 9, 9);
   CompiledForest compiled = CompiledForest::Compile(forest);
   DataTable eval = Mutate(GenerateTable(p, 191), 13);
-  const std::vector<uint32_t> rows = AllRows(eval);
-  std::vector<double> values(rows.size());
-  for (int max_depth : {-1, 0, 2, 5}) {
-    compiled.PredictValue(eval, rows.data(), rows.size(), max_depth,
-                          values.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_EQ(values[i], forest.PredictValue(eval, i, max_depth))
-          << "row " << i << " depth " << max_depth;
+  for (const std::vector<uint32_t>& rows : ParityBatches(eval, 6)) {
+    std::vector<double> values(rows.size());
+    for (int max_depth : {-1, 0, 2, 5}) {
+      compiled.PredictValue(eval, rows.data(), rows.size(), max_depth,
+                            values.data());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(values[i], forest.PredictValue(eval, rows[i], max_depth))
+            << "row " << rows[i] << " depth " << max_depth << " batch "
+            << rows.size();
+      }
     }
   }
-  // `values` holds the depth-5 results from the last loop iteration.
+  std::vector<double> values(eval.num_rows());
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = forest.PredictValue(eval, i, 5);
+  }
   EXPECT_EQ(compiled.PredictValues(eval, 5), values);
+}
+
+TEST(CompiledForestTest, WideCategoricalColumnParity) {
+  // 100 categories force multi-word category bitmasks, with missing
+  // categories and (rare) codes the training split never saw.
+  const size_t n = 2000;
+  const int card = 100;
+  Rng rng(59);
+  std::vector<int32_t> cat(n);
+  std::vector<double> num(n);
+  std::vector<int32_t> y(n);
+  for (size_t r = 0; r < n; ++r) {
+    cat[r] = rng.Bernoulli(0.05)
+                 ? kMissingCategory
+                 : static_cast<int32_t>(rng.Uniform(card));
+    num[r] = rng.Bernoulli(0.05) ? MissingNumeric()
+                                 : static_cast<double>(rng.Uniform(37));
+    const int32_t base = cat[r] < 0 ? 0 : (cat[r] / 25) % 3;
+    y[r] = rng.Bernoulli(0.1) ? static_cast<int32_t>(rng.Uniform(3)) : base;
+  }
+  std::vector<ColumnMeta> metas = {{"c", DataType::kCategorical, card},
+                                   {"x", DataType::kNumeric, 0},
+                                   {"y", DataType::kCategorical, 3}};
+  std::vector<ColumnPtr> cols = {Column::Categorical("c", std::move(cat), card),
+                                 Column::Numeric("x", std::move(num)),
+                                 Column::Categorical("y", std::move(y), 3)};
+  auto made = DataTable::Make(Schema(metas, 2, TaskKind::kClassification),
+                              std::move(cols));
+  ASSERT_TRUE(made.ok());
+  DataTable table = std::move(made).value();
+  ForestJobSpec spec;
+  spec.num_trees = 4;
+  spec.tree.max_depth = 9;
+  ForestModel forest = TrainForestSerial(table, spec, 2);
+  bool multi_word = false;
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    for (size_t i = 0; i < forest.tree(t).num_nodes(); ++i) {
+      const SplitCondition& cond =
+          forest.tree(t).node(static_cast<int32_t>(i)).condition;
+      multi_word = multi_word || (cond.type == DataType::kCategorical &&
+                                  !cond.seen_categories.empty() &&
+                                  cond.seen_categories.back() >= 64);
+    }
+  }
+  ASSERT_TRUE(multi_word) << "no split needs a multi-word category mask";
+  CompiledForest compiled = CompiledForest::Compile(forest);
+  ExpectClassificationParity(forest, compiled, table);
 }
 
 TEST(CompiledForestTest, SingleTreeForestOfOne) {

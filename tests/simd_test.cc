@@ -1,14 +1,15 @@
-// Randomized scalar-vs-SIMD parity fuzz for the hot-path kernels
-// (tree/hist_kernels.h) and the serving node layouts
-// (serve/packed_tree.h). The contract under test is EXACTNESS, not
-// closeness: histograms must be bit-identical between the scalar
-// reference and the active vector level, and predictions must be
-// byte-identical across soa / packed / quantized layouts at every SIMD
-// level. On a scalar-only build (-DTS_SIMD=OFF) or CPU the level loop
-// degenerates to scalar-vs-scalar and the layout checks still carry
-// the coverage.
+// Randomized scalar-vs-SIMD parity fuzz for the histogram kernels
+// (tree/hist_kernels.h) and for serving. The contract under test is
+// EXACTNESS, not closeness: histograms must be bit-identical between
+// the scalar reference and the active vector level, over ragged
+// scattered row subsets, uint8/uint16 bin codes and populated missing
+// bins; and the compiled serving tables (serve/compiled_model.h) must
+// predict byte-identically to the trained forest's node layout at
+// every SIMD level. On a scalar-only build (-DTS_SIMD=OFF) or CPU the
+// level loop degenerates to scalar-vs-scalar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "common/simd.h"
 #include "forest/forest.h"
 #include "serve/compiled_model.h"
-#include "serve/layout.h"
 #include "table/binned.h"
 #include "table/datasets.h"
 #include "tree/hist.h"
@@ -235,80 +235,65 @@ TEST(SimdParityTest, RegressionHistogramsBitExact) {
 }
 
 // -------------------------------------------------------------------
-// Serving layouts: byte-identical predictions across soa / packed /
-// quantized at every SIMD level, over ragged scattered batches and
-// depth cutoffs.
+// Serving: the compiled SoA tables predict byte-identically to the
+// trained forest's node layout at every SIMD level, over ragged
+// scattered batches and depth cutoffs.
 // -------------------------------------------------------------------
 
-CompiledForest CompileFuzzForest(const DataTable& table, int trees,
-                                 bool sqrt_columns) {
+void CheckServingParity(const DataTable& table, int trees) {
   ForestJobSpec spec;
   spec.num_trees = trees;
   spec.tree.max_depth = 9;
-  spec.sqrt_columns = sqrt_columns;
-  return CompiledForest::Compile(TrainForestSerial(table, spec, 2));
-}
-
-void CheckLayoutParity(const DataTable& table, CompiledForest* compiled) {
+  spec.sqrt_columns = true;
+  const ForestModel forest = TrainForestSerial(table, spec, 2);
+  const CompiledForest compiled = CompiledForest::Compile(forest);
   const size_t n = table.num_rows();
-  auto bins = BinnedTable::Build(table, 65535);
+  const bool classification = compiled.is_classification();
+  const size_t k = static_cast<size_t>(compiled.num_classes());
   Rng rng(31);
-  const bool classification = compiled->is_classification();
-  const size_t k = static_cast<size_t>(compiled->num_classes());
   for (int max_depth : {-1, 0, 3}) {
     for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129}, n}) {
       const std::vector<uint32_t> rows = RandomRows(n, m, &rng);
-      // Reference: soa layout at scalar level.
-      compiled->Repack(NodeLayout::kSoa, nullptr);
+      // Reference: the forest's own row-at-a-time traversal.
       std::vector<int32_t> ref_labels(rows.size());
       std::vector<double> ref_values(rows.size());
       std::vector<float> ref_pmf(rows.size() * k);
-      {
-        ScopedSimdLevel forced(SimdLevel::kScalar);
+      for (size_t i = 0; i < rows.size(); ++i) {
         if (classification) {
-          compiled->PredictLabel(table, rows.data(), rows.size(), max_depth,
-                                 ref_labels.data());
-          compiled->PredictPmf(table, rows.data(), rows.size(), max_depth,
-                               ref_pmf.data());
+          ref_labels[i] = forest.PredictLabel(table, rows[i], max_depth);
+          const std::vector<float> pmf =
+              forest.PredictPmf(table, rows[i], max_depth);
+          ASSERT_EQ(pmf.size(), k);
+          std::copy(pmf.begin(), pmf.end(), ref_pmf.begin() + i * k);
         } else {
-          compiled->PredictValue(table, rows.data(), rows.size(), max_depth,
-                                 ref_values.data());
+          ref_values[i] = forest.PredictValue(table, rows[i], max_depth);
         }
       }
-      for (NodeLayout want : {NodeLayout::kSoa, NodeLayout::kPacked,
-                              NodeLayout::kQuantized}) {
-        const NodeLayout got = compiled->Repack(
-            want, want == NodeLayout::kQuantized ? bins : nullptr);
-        // One bin per distinct value makes every exact threshold a bin
-        // upper, so quantization must never fall back.
-        ASSERT_EQ(got, want) << NodeLayoutName(want);
-        for (SimdLevel level : LevelsUnderTest()) {
-          ScopedSimdLevel forced(level);
-          const std::string what = std::string(NodeLayoutName(want)) + "/" +
-                                   SimdLevelName(level) + " depth=" +
-                                   std::to_string(max_depth) + " m=" +
-                                   std::to_string(rows.size());
-          if (classification) {
-            std::vector<int32_t> labels(rows.size());
-            compiled->PredictLabel(table, rows.data(), rows.size(), max_depth,
-                                   labels.data());
-            EXPECT_EQ(labels, ref_labels) << what;
-            std::vector<float> pmf(rows.size() * k);
-            compiled->PredictPmf(table, rows.data(), rows.size(), max_depth,
-                                 pmf.data());
-            EXPECT_EQ(std::memcmp(pmf.data(), ref_pmf.data(),
-                                  pmf.size() * sizeof(float)),
-                      0)
-                << what << ": PMFs not byte-identical";
-          } else {
-            std::vector<double> values(rows.size());
-            compiled->PredictValue(table, rows.data(), rows.size(), max_depth,
-                                   values.data());
-            EXPECT_EQ(std::memcmp(values.data(), ref_values.data(),
-                                  values.size() * sizeof(double)),
-                      0)
-                << what << ": values not byte-identical";
-          }
+      for (SimdLevel level : LevelsUnderTest()) {
+        ScopedSimdLevel forced(level);
+        const std::string what = std::string(SimdLevelName(level)) +
+                                 " depth=" + std::to_string(max_depth) +
+                                 " m=" + std::to_string(rows.size());
+        if (classification) {
+          std::vector<int32_t> labels(rows.size());
+          compiled.PredictLabel(table, rows.data(), rows.size(), max_depth,
+                                labels.data());
+          EXPECT_EQ(labels, ref_labels) << what;
+          std::vector<float> pmf(rows.size() * k);
+          compiled.PredictPmf(table, rows.data(), rows.size(), max_depth,
+                              pmf.data());
+          EXPECT_EQ(std::memcmp(pmf.data(), ref_pmf.data(),
+                                pmf.size() * sizeof(float)),
+                    0)
+              << what << ": PMFs not byte-identical";
+        } else {
+          std::vector<double> values(rows.size());
+          compiled.PredictValue(table, rows.data(), rows.size(), max_depth,
+                                values.data());
+          EXPECT_EQ(std::memcmp(values.data(), ref_values.data(),
+                                values.size() * sizeof(double)),
+                    0)
+              << what << ": values not byte-identical";
         }
       }
     }
@@ -323,9 +308,7 @@ TEST(SimdParityTest, ClassificationServingLayoutsByteIdentical) {
   profile.num_categorical = 2;
   profile.num_classes = 4;
   profile.missing_fraction = 0.08;
-  DataTable table = GenerateTable(profile, 17);
-  CompiledForest compiled = CompileFuzzForest(table, 6, /*sqrt_columns=*/true);
-  CheckLayoutParity(table, &compiled);
+  CheckServingParity(GenerateTable(profile, 17), 6);
 }
 
 TEST(SimdParityTest, RegressionServingLayoutsByteIdentical) {
@@ -336,42 +319,7 @@ TEST(SimdParityTest, RegressionServingLayoutsByteIdentical) {
   profile.num_categorical = 1;
   profile.num_classes = 0;  // regression
   profile.missing_fraction = 0.08;
-  DataTable table = GenerateTable(profile, 19);
-  CompiledForest compiled = CompileFuzzForest(table, 5, /*sqrt_columns=*/true);
-  CheckLayoutParity(table, &compiled);
-}
-
-TEST(SimdParityTest, WideCategoricalColumnsAcrossLayouts) {
-  // 100 categories force multi-word bitmasks in the packed layout and
-  // >64-slot route tables in the quantized one, with missing
-  // categories and (rare) codes the training split never saw.
-  const size_t n = 2000;
-  const int card = 100;
-  Rng rng(59);
-  std::vector<int32_t> cat(n);
-  std::vector<double> num(n);
-  std::vector<int32_t> y(n);
-  for (size_t r = 0; r < n; ++r) {
-    cat[r] = rng.Bernoulli(0.05)
-                 ? kMissingCategory
-                 : static_cast<int32_t>(rng.Uniform(card));
-    num[r] = rng.Bernoulli(0.05) ? MissingNumeric()
-                                 : static_cast<double>(rng.Uniform(37));
-    const int32_t base = cat[r] < 0 ? 0 : (cat[r] / 25) % 3;
-    y[r] = rng.Bernoulli(0.1) ? static_cast<int32_t>(rng.Uniform(3)) : base;
-  }
-  std::vector<ColumnMeta> metas = {{"c", DataType::kCategorical, card},
-                                   {"x", DataType::kNumeric, 0},
-                                   {"y", DataType::kCategorical, 3}};
-  std::vector<ColumnPtr> cols = {Column::Categorical("c", std::move(cat), card),
-                                 Column::Numeric("x", std::move(num)),
-                                 Column::Categorical("y", std::move(y), 3)};
-  auto made = DataTable::Make(Schema(metas, 2, TaskKind::kClassification),
-                              std::move(cols));
-  ASSERT_TRUE(made.ok());
-  DataTable table = std::move(made).value();
-  CompiledForest compiled = CompileFuzzForest(table, 4, /*sqrt_columns=*/false);
-  CheckLayoutParity(table, &compiled);
+  CheckServingParity(GenerateTable(profile, 19), 5);
 }
 
 }  // namespace

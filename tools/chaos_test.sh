@@ -24,6 +24,13 @@ SEED="${CHAOS_SEED:-20260808}"
 TMP="$(mktemp -d)"
 PIDS=()
 
+# Listen ports are drawn below the Linux default ephemeral range
+# (32768-60999), where client sockets take their local ports, and from
+# a band no other multi-process ctest uses, since `ctest -j` runs
+# cluster_parity (20000-24999), chaos_soak (25000-27599) and
+# fleet_failover (27600-32767) concurrently.
+PORT_BASE=25000  # + RANDOM % 2500, 5 ports per cluster
+
 cleanup() {
   for pid in "${PIDS[@]:-}"; do
     kill -9 "$pid" 2>/dev/null || true
@@ -96,7 +103,7 @@ for profile in "${PROFILES[@]}"; do
     extra=(--checkpoint-dir="$TMP/ckpt" --checkpoint-period-ms=200)
   fi
   run_chaos_cluster "$TMP/$profile.bin" "$profile" \
-    $((22000 + RANDOM % 10000)) ${extra[@]+"${extra[@]}"}
+    $((PORT_BASE + RANDOM % 2500)) ${extra[@]+"${extra[@]}"}
   cmp "$TMP/ref.bin" "$TMP/$profile.bin" || {
     echo "FAIL: forest under profile $profile differs from reference" >&2
     exit 1

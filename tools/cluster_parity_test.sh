@@ -21,6 +21,14 @@ WORKERS=4
 TMP="$(mktemp -d)"
 PIDS=()
 
+# Listen ports are drawn below the Linux default ephemeral range
+# (32768-60999), where client sockets take their local ports, and from
+# a band no other multi-process ctest uses, since `ctest -j` runs
+# cluster_parity (20000-24999), chaos_soak (25000-27599) and
+# fleet_failover (27600-32767) concurrently.
+TCP_PORT_BASE=20000   # + RANDOM % 2500, 5 ports per cluster
+HTTP_PORT_BASE=22600  # + RANDOM % 2300, 5 ports per cluster
+
 cleanup() {
   for pid in "${PIDS[@]:-}"; do
     kill -9 "$pid" 2>/dev/null || true
@@ -149,7 +157,7 @@ echo "== in-process reference =="
 [[ -s "$TMP/ref.bin" ]] || { echo "FAIL: empty reference forest" >&2; exit 1; }
 
 echo "== 4-worker TCP cluster =="
-run_cluster "$TMP/tcp.bin" "" $((21000 + RANDOM % 10000))
+run_cluster "$TMP/tcp.bin" "" $((TCP_PORT_BASE + RANDOM % 2500))
 cmp "$TMP/ref.bin" "$TMP/tcp.bin" || {
   echo "FAIL: TCP forest differs from in-process forest" >&2
   exit 1
@@ -157,7 +165,7 @@ cmp "$TMP/ref.bin" "$TMP/tcp.bin" || {
 echo "PASS: TCP forest byte-identical to in-process"
 
 echo "== 4-worker TCP cluster, SIGKILL worker 2 mid-job =="
-run_cluster "$TMP/crash.bin" 2 $((21000 + RANDOM % 10000))
+run_cluster "$TMP/crash.bin" 2 $((TCP_PORT_BASE + RANDOM % 2500))
 grep -q "declaring dead" "$TMP/master.log" || {
   echo "note: master log has no dead-peer line (job may have finished" \
        "before the kill); accepting if output matches" >&2
@@ -169,8 +177,8 @@ cmp "$TMP/ref.bin" "$TMP/crash.bin" || {
 echo "PASS: job survived SIGKILL'd worker with identical output"
 
 echo "== observability: endpoints on every rank + merged trace =="
-run_cluster "$TMP/obs.bin" "" $((21000 + RANDOM % 10000)) \
-  $((31000 + RANDOM % 10000))
+run_cluster "$TMP/obs.bin" "" $((TCP_PORT_BASE + RANDOM % 2500)) \
+  $((HTTP_PORT_BASE + RANDOM % 2300))
 [[ -s "$TMP/trace.json" ]] || {
   echo "FAIL: master wrote no merged trace" >&2
   exit 1

@@ -71,8 +71,13 @@ echo "== train v1 + v2 models =="
   exit 1
 }
 
-BASE=$((22000 + RANDOM % 10000))
-HTTP_PORT=$((32000 + RANDOM % 10000))
+# Listen ports are drawn below the Linux default ephemeral range
+# (32768-60999), where client sockets take their local ports, and from
+# a band no other multi-process ctest uses, since `ctest -j` runs
+# cluster_parity (20000-24999), chaos_soak (25000-27599) and
+# fleet_failover (27600-32767) concurrently.
+BASE=$((27600 + RANDOM % 2500))       # REPLICAS + 1 ports
+HTTP_PORT=$((30200 + RANDOM % 2500))
 PEERS="$(peers_for "$BASE")"
 CHAOS_FLAGS=()
 [[ "$CHAOS" != none ]] && CHAOS_FLAGS=(--chaos-profile="$CHAOS")
